@@ -21,8 +21,9 @@ race:
 # The deterministic fault-injection harness: 500 seeded runs of the live
 # cluster under scripted crashes, slowdowns and cancellations, with the
 # conservation invariants audited after every run. The ManySeeds pattern
-# also matches the generative sweep (continuous batching, per-iteration
-# conservation plus full-token-count audit).
+# also matches the batched, generative (continuous batching, per-iteration
+# conservation plus full-token-count audit), tenant, controller and
+# ingress-ring sweeps.
 chaos:
 	$(GO) test -race -run 'TestConservationManySeeds|TestScripted|TestRecovery|TestCrossCheck' -v ./internal/chaos/
 

@@ -13,6 +13,20 @@ import (
 // crash semantics (a killed instance loses its whole in-flight batch) must
 // not lose, duplicate or leak any member.
 func TestConservationManySeedsBatched(t *testing.T) {
+	runBatchedSeeds(t, false)
+}
+
+// TestConservationManySeedsIngress runs the batched seed set through the
+// ingress rings: requests reach the workers by ring drain and grouped
+// placement instead of one SubmitCtx each, and cancellation now also
+// races the ring wait. The same audit must hold.
+func TestConservationManySeedsIngress(t *testing.T) {
+	runBatchedSeeds(t, true)
+}
+
+// runBatchedSeeds is the batched sweep, submitting directly or through
+// the ingress rings.
+func runBatchedSeeds(t *testing.T, ingress bool) {
 	seeds := 120
 	if testing.Short() {
 		seeds = 30
@@ -36,6 +50,7 @@ func TestConservationManySeedsBatched(t *testing.T) {
 			CancelFraction: 0.2,
 			MaxBatch:       maxBatch,
 			BatchDelay:     delay,
+			Ingress:        ingress,
 			Events: []Event{
 				{At: 20 * time.Millisecond, Kind: Slow, Runtime: 1, Factor: 3},
 				{At: 50 * time.Millisecond, Kind: Fail, Runtime: 1, Downtime: 60 * time.Millisecond},

@@ -114,6 +114,11 @@ type Config struct {
 	// must be typed, counted exactly once, and agree with the registry's
 	// own books.
 	Tenants []tenant.Config
+	// Ingress submits every request through a cluster.Ingress (the
+	// ring-fed grouped path: ring drain, submitBatch, await) instead of
+	// Cluster.SubmitCtx, so the conservation audit covers that pipeline
+	// too. A full ring is a typed ErrCongested rejection.
+	Ingress bool
 }
 
 // Report is the audited outcome of one run. Submitted is partitioned
@@ -296,6 +301,12 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	defer cl.Close()
+	submit := cl.SubmitCtx
+	if cfg.Ingress {
+		ing := cluster.NewIngress(cl, cluster.IngressConfig{})
+		defer ing.Close() // before the cluster's Close, as NewIngress requires
+		submit = ing.SubmitCtx
+	}
 
 	// The control loop shares the run's recorder and cluster, replanning
 	// with no hysteresis or budget so every period exercises the Replace
@@ -488,7 +499,7 @@ func Run(cfg Config) (*Report, error) {
 				ctx, cancel = context.WithTimeout(ctx, time.Duration(float64(deadline)*scale))
 				defer cancel()
 			}
-			res, err := cl.SubmitCtx(ctx, cluster.Request{Length: length, MaxNewTokens: budget, Tenant: tn})
+			res, err := submit(ctx, cluster.Request{Length: length, MaxNewTokens: budget, Tenant: tn})
 			if err == nil && budget > 0 && res.Span.OutTokens != budget {
 				// Iteration-level conservation: a completion must carry its
 				// full generation — a short count means a crash-displaced

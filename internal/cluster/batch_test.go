@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"arlo/internal/model"
 	"arlo/internal/obs"
+	"arlo/internal/profiler"
 	"arlo/internal/sim"
 	"arlo/internal/trace"
 )
@@ -51,6 +53,7 @@ func TestBatchedClusterCoalesces(t *testing.T) {
 	}
 	wg.Wait()
 
+	members := make(map[int64]int) // batch id -> completions carrying it
 	for i, res := range results {
 		if res.Span.Batch == 0 {
 			t.Errorf("request %d: no batch id on a batched cluster", i)
@@ -60,6 +63,14 @@ func TestBatchedClusterCoalesces(t *testing.T) {
 		}
 		if res.Span.FormWait < 0 {
 			t.Errorf("request %d: negative formation wait %v", i, res.Span.FormWait)
+		}
+		members[res.Span.Batch]++
+	}
+	// Every member of a batch reports the batch's full size.
+	for i, res := range results {
+		if got := members[res.Span.Batch]; res.Span.BatchSize != got {
+			t.Errorf("request %d: batch %d size %d, but %d completions carry it",
+				i, res.Span.Batch, res.Span.BatchSize, got)
 		}
 	}
 	if got := rec.BatchedRequests(); got != n {
@@ -72,27 +83,57 @@ func TestBatchedClusterCoalesces(t *testing.T) {
 	}
 }
 
-// TestSequentialSpansCarryNoBatchFields pins the batching-off contract: the
-// sequential worker path must leave the batch span fields zero.
+// TestSequentialSpansCarryNoBatchFields pins the cap-1 contract: a worker
+// whose B_i is 1 runs one request per step and reports no batches — its
+// spans leave the batch fields zero and the recorder counts no batch. That
+// holds with batching off, and in a batching cluster whose runtime the
+// SLO clamps to BatchWithinSLO == 1.
 func TestSequentialSpansCarryNoBatchFields(t *testing.T) {
-	p := testProfile(t, []int{512})
-	c, err := New(Config{
-		Profile:           p,
-		InitialAllocation: []int{1},
-		Dispatcher:        rsFactory,
-		Overhead:          -1,
-	})
+	lat := testProfile(t, []int{512}).Runtimes[0].Latency
+	// An SLO 10% above one kernel leaves no room for a second member.
+	tight, err := profiler.StaticProfile(model.BertBase(), []int{512}, lat+lat/10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	res, err := c.SubmitCtx(context.Background(), Request{Length: 100})
-	if err != nil {
-		t.Fatal(err)
+	if b := tight.Runtimes[0].BatchWithinSLO(8); b != 1 {
+		t.Fatalf("tight profile clamps batch 8 to %d, want 1", b)
 	}
-	if res.Span.Batch != 0 || res.Span.BatchSize != 0 || res.Span.FormWait != 0 {
-		t.Errorf("sequential span has batch fields set: batch=%d size=%d wait=%v",
-			res.Span.Batch, res.Span.BatchSize, res.Span.FormWait)
+	for _, tc := range []struct {
+		name     string
+		p        *profiler.Profile
+		maxBatch int
+	}{
+		{"batching off", testProfile(t, []int{512}), 0},
+		{"clamped to B_i=1", tight, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewRecorder(1)
+			c, err := New(Config{
+				Profile:           tc.p,
+				InitialAllocation: []int{1},
+				Dispatcher:        rsFactory,
+				Overhead:          -1,
+				MaxBatch:          tc.maxBatch,
+				Observer:          rec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for i := 0; i < 3; i++ {
+				res, err := c.SubmitCtx(context.Background(), Request{Length: 100})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Span.Batch != 0 || res.Span.BatchSize != 0 || res.Span.FormWait != 0 {
+					t.Errorf("cap-1 span has batch fields set: batch=%d size=%d wait=%v",
+						res.Span.Batch, res.Span.BatchSize, res.Span.FormWait)
+				}
+			}
+			if got := rec.Batches(); got != 0 {
+				t.Errorf("recorder batches = %d, want 0 for a cap-1 worker", got)
+			}
+		})
 	}
 }
 
@@ -126,7 +167,7 @@ func TestBatchedDrainsBurstFaster(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := c.Submit(100); err != nil {
+				if _, err := submitLen(c, 100); err != nil {
 					t.Error(err)
 				}
 			}()

@@ -1,17 +1,26 @@
 // Package cluster is the real-time counterpart of the discrete-event
 // simulator: the "testbed" of this reproduction. Each GPU instance is a
-// goroutine that executes requests sequentially on the wall clock,
-// emulating computation with the calibrated latency model; dispatching
-// runs through the same multi-level queue and policies as the simulator.
-// The section 5.2.1 calibration experiment replays one trace through both
-// this prototype and the simulator and compares the distributions.
+// goroutine running the one worker loop (continuous.go), which executes
+// requests on the wall clock one step at a time, emulating computation
+// with the calibrated latency model; sequential, run-to-completion
+// batched and continuous serving differ only in how a step is priced and
+// retired. Dispatching runs through the same multi-level queue and
+// policies as the simulator. The section 5.2.1 calibration experiment
+// replays one trace through both this prototype and the simulator and
+// compares the distributions.
+//
+// Every submit path (SubmitCtx, SubmitBatch, the ingress rings, Replay)
+// shares one pipeline: admit turns a Request into a pooled, tenant-stamped
+// job, the job is handed on singly or as a group (through the fair queue
+// in multi-tenant mode), and place dispatches it and sends it to its
+// worker.
 //
 // The dispatch hot path is concurrent: submissions hold only a shared
 // (read) lock on the cluster's topology, so any number of goroutines can
 // dispatch in parallel while synchronization happens inside the
 // lock-striped multi-level queue. The exclusive side of the lock is
 // reserved for topology changes — adding or removing workers and Close —
-// which also makes Submit-after-Close race-free: Close cannot close a
+// which also makes submit-after-Close race-free: Close cannot close a
 // worker channel while a submission holding the read lock is sending on
 // it. Completions decrement the queue's atomic counters without any
 // cluster-level lock.
@@ -28,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"arlo/internal/batcher"
 	"arlo/internal/dispatch"
 	"arlo/internal/failover"
 	"arlo/internal/metrics"
@@ -61,12 +69,6 @@ var (
 	ErrUnserviceable = errors.New("cluster: request unserviceable after repeated failures")
 )
 
-// ErrClosed is returned by Submit after Close.
-//
-// Deprecated: ErrClosed is an alias of ErrClusterClosed, kept for
-// existing identity comparisons.
-var ErrClosed = ErrClusterClosed
-
 // Config describes a real-time cluster.
 type Config struct {
 	// Profile defines the runtimes and SLO.
@@ -96,8 +98,8 @@ type Config struct {
 	// MaxBatch enables dynamic batching: an idle worker coalesces up to
 	// B_i = min(MaxBatch, Runtime.BatchWithinSLO(MaxBatch)) queued
 	// requests and executes them as one emulated kernel at the sub-linear
-	// batched cost (Runtime.BatchCostOf). 0 or 1 disables batching and
-	// keeps the sequential worker loop byte-for-byte.
+	// batched cost (Runtime.BatchCostOf). 0 or 1 disables batching: every
+	// worker runs one request per step and reports no batches.
 	MaxBatch int
 	// BatchDelay bounds the batch-collection window in modeled time
 	// (scaled by TimeScale like execution): a worker holding a partial
@@ -143,7 +145,7 @@ type Cluster struct {
 
 	// maxBatch and batchDelay are the normalized batching knobs (1 / 0
 	// when batching is off); batchSeq numbers executed batches for span
-	// correlation. continuous selects the iteration-level worker loop and
+	// correlation. continuous selects the iteration-level step rule and
 	// meanOut is its capacity-model output-length hint.
 	maxBatch   int
 	batchDelay time.Duration
@@ -473,300 +475,20 @@ func (c *Cluster) addWorker(rtIdx int) error {
 	w.slow.Store(math.Float64bits(1))
 	c.workers[inst.ID] = w
 	c.wg.Add(1)
-	switch {
-	case c.continuous:
-		go c.runWorkerContinuous(w, rt)
-	case bcap > 1:
-		go c.runWorkerBatched(w, rt)
-	default:
-		go c.runWorker(w, rt)
-	}
+	go c.runWorker(w, rt)
 	return nil
 }
 
 // batchCapFor returns the effective per-instance batch cap B_i for one
 // runtime: the configured cap clamped to the profiled SLO headroom
 // (Runtime.BatchWithinSLO), or 1 when batching is disabled. Long runtimes
-// whose kernels already fill the SLO keep the sequential loop even in a
+// whose kernels already fill the SLO run one request per step even in a
 // batched cluster.
 func (c *Cluster) batchCapFor(rt profiler.Runtime) int {
 	if c.maxBatch <= 1 {
 		return 1
 	}
 	return rt.BatchWithinSLO(c.maxBatch)
-}
-
-// spinGuard is how much of each emulated execution is busy-waited instead
-// of slept: time.Sleep overshoots by OS-timer granularity, which at
-// millisecond kernel times would distort tail latencies, so the final
-// stretch spins to the deadline.
-const spinGuard = 200 * time.Microsecond
-
-// runWorker executes the worker's queue sequentially, emulating the scaled
-// modeled computation time per request (sleep + spin to the deadline).
-// Completion accounting is lock-free (atomic decrement on the instance).
-//
-// The state CAS against the submitter implements cancellation-while-
-// queued: a job whose context fired before the worker reached it is
-// discarded without executing (its submitter already returned), and a job
-// abandoned mid-execution completes normally but is recycled here instead
-// of being delivered.
-//
-// A crash (FailInstance) closes w.kill and sets w.dead before closing the
-// channel: the in-flight emulated kernel is interrupted mid-sleep (the
-// computation is lost, as on a real GPU) and restarted from scratch
-// through the failover demotion path, and the drain loop requeues every
-// queued job the same way instead of executing it.
-func (c *Cluster) runWorker(w *worker, rt profiler.Runtime) {
-	defer c.wg.Done()
-	// The reusable sleep timer starts stopped; Reset arms it per job.
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	for j := range w.ch {
-		if w.dead.Load() {
-			// Crashed: this worker no longer executes. Revert the dispatch
-			// accounting and push the job back through the normal dispatch
-			// path (or discard it if its submitter already cancelled).
-			c.ml.OnComplete(w.inst)
-			if j.state.Load() == jobCancelled {
-				jobPool.Put(j)
-				continue
-			}
-			c.redispatch(j, obs.RequeueQueued)
-			continue
-		}
-		if !j.state.CompareAndSwap(jobPending, jobRunning) {
-			// Cancelled while queued: dequeue and discard.
-			c.ml.OnComplete(w.inst)
-			jobPool.Put(j)
-			continue
-		}
-		execStart := time.Now()
-		modeled := rt.CostOf(j.length)
-		if j.maxNew > 1 {
-			// Generative request on a sequential worker: run-to-completion,
-			// prefill plus maxNew-1 decode steps as one emulated kernel.
-			modeled = rt.GenCostOf(j.length, j.maxNew)
-		}
-		cost := time.Duration(float64(modeled) * c.scale * w.slowFactor())
-		interrupted := c.emulate(w, timer, execStart, cost)
-		c.ml.OnComplete(w.inst)
-		if interrupted {
-			// The instance died mid-execution: the computation is lost.
-			// Hand the job back to pending and restart it elsewhere, unless
-			// the submitter abandoned it concurrently.
-			if j.state.CompareAndSwap(jobRunning, jobPending) {
-				c.redispatch(j, obs.RequeueInflight)
-			} else {
-				jobPool.Put(j)
-			}
-			continue
-		}
-		lat := time.Since(j.started)
-		// Report in modeled time: un-scale the measured wall time so a
-		// compressed run still yields model-scale latencies.
-		lat = time.Duration(float64(lat) / c.scale)
-		j.wait = time.Duration(float64(execStart.Sub(j.started)) / c.scale)
-		j.exec = time.Duration(float64(time.Since(execStart)) / c.scale)
-		if j.maxNew >= 1 {
-			// First token lands at the end of the prefill; the execution is
-			// emulated from the same model, so the split is the model's.
-			j.ttft = j.wait + rt.CostOf(j.length)
-			j.outTokens = j.maxNew
-		}
-		if j.state.CompareAndSwap(jobRunning, jobDone) {
-			j.done <- lat + c.overhead
-		} else {
-			// Abandoned mid-execution: the submitter is gone; nothing to
-			// deliver.
-			jobPool.Put(j)
-		}
-	}
-}
-
-// emulate executes one kernel of the given wall-clock cost: sleep to
-// within spinGuard of the deadline, then spin out the residue. Returns
-// true when the worker was killed mid-kernel (the computation is lost, as
-// on a real GPU).
-func (c *Cluster) emulate(w *worker, timer *time.Timer, start time.Time, cost time.Duration) bool {
-	deadline := start.Add(cost)
-	if cost > spinGuard {
-		timer.Reset(cost - spinGuard)
-		select {
-		case <-timer.C:
-		case <-w.kill:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			return true
-		}
-	}
-	for time.Now().Before(deadline) {
-		// Busy-wait the residue for sub-millisecond accuracy, yielding
-		// each pass: on a single-CPU host a long batched kernel would
-		// otherwise starve the other workers' batch formers (and the
-		// submitters feeding them) for its whole spin. The dead check
-		// keeps crash interruption bounded even for kernels short enough
-		// to skip the sleep.
-		if w.dead.Load() {
-			return true
-		}
-		runtime.Gosched()
-	}
-	return false
-}
-
-// runWorkerBatched is the dynamic-batching worker loop: a batch former
-// coalesces up to B_i queued requests under the bounded collection window
-// (never past the slack a member's deadline leaves), and the whole batch
-// executes as one emulated kernel at the sub-linear batched cost.
-//
-// Lifecycle semantics compose per member:
-//
-//   - cancellation: each member is promoted pending -> running by CAS at
-//     execution start; a lost CAS means the submitter's context fired
-//     during formation, and only that member is dropped;
-//   - crash: a killed instance loses the entire in-flight batch — every
-//     member whose submitter has not abandoned it re-enters the failover
-//     demotion path against its own requeue budget, and the drain loop
-//     requeues still-queued work exactly like the sequential worker.
-func (c *Cluster) runWorkerBatched(w *worker, rt profiler.Runtime) {
-	defer c.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	maxBatch := c.batchCapFor(rt)
-	// The deadline slack a member must keep after formation: one full
-	// batched kernel, in wall time.
-	execEstimate := time.Duration(float64(rt.BatchDrainTime(maxBatch, maxBatch)) * c.scale)
-	maxDelay := time.Duration(float64(c.batchDelay) * c.scale)
-	if c.tenants != nil {
-		// SLO-class window policy: batch-class members may stretch the
-		// window up to MaxWindowFactor x the configured delay, interactive
-		// members shrink it. The per-member Window cap below enforces each
-		// class's bound; MaxDelay is sized for the most patient class.
-		maxDelay = time.Duration(float64(maxDelay) * tenant.MaxWindowFactor)
-	}
-	former := &batcher.Former[*job]{
-		Source: w.ch,
-		Policy: batcher.Policy{
-			MaxSize:  maxBatch,
-			MaxDelay: maxDelay,
-		},
-		Deadline: func(j *job) (time.Time, bool) {
-			if j.deadline.IsZero() {
-				return time.Time{}, false
-			}
-			return j.deadline.Add(-execEstimate), true
-		},
-		Interrupt: w.kill,
-	}
-	if c.tenants != nil {
-		former.Window = func(j *job) (time.Duration, bool) { return j.window, j.window > 0 }
-	}
-	var batch, run []*job
-	var lengths, outs []int
-	for {
-		var ok bool
-		batch, ok = former.Next(batch[:0])
-		if !ok {
-			return
-		}
-		if w.dead.Load() {
-			// Crashed: drain instead of executing, exactly like the
-			// sequential worker but for every collected member.
-			for _, j := range batch {
-				c.ml.OnComplete(w.inst)
-				if j.state.Load() == jobCancelled {
-					jobPool.Put(j)
-					continue
-				}
-				c.redispatch(j, obs.RequeueQueued)
-			}
-			continue
-		}
-		// Promote members; a lost CAS is a cancellation during formation
-		// and drops only that member.
-		run, lengths, outs = run[:0], lengths[:0], outs[:0]
-		anyGen := false
-		for _, j := range batch {
-			if !j.state.CompareAndSwap(jobPending, jobRunning) {
-				c.ml.OnComplete(w.inst)
-				jobPool.Put(j)
-				continue
-			}
-			run = append(run, j)
-			lengths = append(lengths, j.length)
-			out := j.maxNew
-			if out < 1 {
-				out = 1
-			} else {
-				anyGen = true
-			}
-			outs = append(outs, out)
-		}
-		if len(run) == 0 {
-			continue
-		}
-		formWait := time.Duration(float64(former.FormedIn()) / c.scale)
-		batchID := c.batchSeq.Add(1)
-		c.obsRec.Load().RecordBatch(rt.Index, len(run))
-		execStart := time.Now()
-		modeled := rt.BatchCostOf(lengths)
-		if anyGen {
-			// Run-to-completion generative semantics: every slot stays held
-			// until the longest output finishes — the baseline the
-			// continuous loop is benchmarked against.
-			modeled = rt.GenBatchCostOf(lengths, outs)
-		}
-		cost := time.Duration(float64(modeled) * c.scale * w.slowFactor())
-		interrupted := c.emulate(w, timer, execStart, cost)
-		for range run {
-			c.ml.OnComplete(w.inst)
-		}
-		if interrupted {
-			// Batch-level crash semantics: the kernel died with every
-			// member's computation; each restarts from scratch through the
-			// failover path unless its submitter abandoned it concurrently.
-			for _, j := range run {
-				if j.state.CompareAndSwap(jobRunning, jobPending) {
-					c.redispatch(j, obs.RequeueInflight)
-				} else {
-					jobPool.Put(j)
-				}
-			}
-			continue
-		}
-		execEnd := time.Now()
-		var prefill time.Duration
-		if anyGen {
-			prefill = rt.BatchCostOf(lengths)
-		}
-		for _, j := range run {
-			lat := time.Duration(float64(execEnd.Sub(j.started)) / c.scale)
-			j.wait = time.Duration(float64(execStart.Sub(j.started)) / c.scale)
-			j.exec = time.Duration(float64(execEnd.Sub(execStart)) / c.scale)
-			j.formWait = formWait
-			j.batchID = batchID
-			j.batchSize = len(run)
-			if j.maxNew >= 1 {
-				// Every member's first token lands when the shared prefill
-				// kernel ends (modeled split of the emulated execution).
-				j.ttft = j.wait + prefill
-				j.outTokens = j.maxNew
-			}
-			if j.state.CompareAndSwap(jobRunning, jobDone) {
-				j.done <- lat + c.overhead
-			} else {
-				jobPool.Put(j)
-			}
-		}
-	}
 }
 
 // Request describes one submission to the cluster.
@@ -792,23 +514,10 @@ type Request struct {
 // attribution).
 type Result struct {
 	// Latency is the end-to-end modeled latency (queueing + compute +
-	// overhead) — what Submit used to return bare.
+	// overhead).
 	Latency time.Duration
 	// Span is the request's lifecycle record.
 	Span obs.Span
-}
-
-// Submit dispatches one request of the given token length and blocks until
-// it completes, returning its modeled latency (queueing + compute +
-// overhead). The job and its completion channel come from a pool, so the
-// steady-state path is allocation-free. Callers that need the latency
-// decomposition or cancellation should use SubmitCtx.
-func (c *Cluster) Submit(length int) (time.Duration, error) {
-	res, err := c.SubmitCtx(context.Background(), Request{Length: length})
-	if err != nil {
-		return 0, err
-	}
-	return res.Latency, nil
 }
 
 // SubmitCtx dispatches one request and blocks until it completes or the
@@ -819,44 +528,49 @@ func (c *Cluster) Submit(length int) (time.Duration, error) {
 // but the caller returns immediately). Both cases return an error
 // wrapping ErrDeadlineExceeded and the context's own error.
 //
-// With a plain background context the path is identical to Submit:
-// allocation-free via the job pool.
+// The job and its completion channel come from a pool, so with a plain
+// background context the steady-state path is allocation-free.
 func (c *Cluster) SubmitCtx(ctx context.Context, req Request) (Result, error) {
 	rec := c.obsRec.Load()
-	if err := ctx.Err(); err != nil {
-		// Dead-on-arrival contexts still count as one submission attempt
-		// with a cancelled outcome, so the recorder's books balance.
-		rec.RecordSubmit()
-		rec.RecordCancel()
-		return Result{}, cancelErr(err)
+	j, err := c.submit(ctx, req, rec)
+	if err != nil {
+		return Result{}, err
 	}
-	t, aerr := c.admitTenant(req.Tenant, req.Length+req.MaxNewTokens)
-	if aerr != nil {
-		// Rejected at the door: the request never leases a job or touches
-		// the queue.
-		c.rejectAdmission(rec)
-		return Result{}, aerr
+	return c.await(ctx, j, rec)
+}
+
+// admit turns one Request into an admitted, tenant-stamped job: the front
+// of every submit path (SubmitCtx, SubmitBatch, Ingress.SubmitCtx, Replay).
+// It counts the submission and refuses it at the door when the context is
+// already done or the tenant's token bucket is short; a refused request
+// never leases a job or touches the queue, and its outcome is recorded
+// here.
+func (c *Cluster) admit(ctx context.Context, req Request, rec *obs.Recorder) (*job, error) {
+	rec.RecordSubmit()
+	if err := ctx.Err(); err != nil {
+		rec.RecordCancel()
+		return nil, cancelErr(err)
+	}
+	t, err := c.admitTenant(req.Tenant, req.Length+req.MaxNewTokens)
+	if err != nil {
+		rec.RecordReject(obs.RejectRateLimited)
+		return nil, err
 	}
 	j := newJob(req.Length)
 	j.tokenize = req.Tokenize
-	if req.MaxNewTokens > 0 {
-		j.maxNew = req.MaxNewTokens
-	}
+	j.maxNew = max(req.MaxNewTokens, 0)
 	if d, ok := ctx.Deadline(); ok {
 		// The batch former bounds its collection window by the slack this
 		// deadline leaves.
 		j.deadline = d
 	}
 	c.applyTenant(j, t)
-	if err := c.submit(ctx, j); err != nil {
-		jobPool.Put(j)
-		return Result{}, err
-	}
-	return c.await(ctx, j, rec)
+	return j, nil
 }
 
 // await blocks until a routed job completes or its context fires — the
-// shared back half of SubmitCtx, Ingress.SubmitCtx and SubmitBatch. On
+// shared back half of SubmitCtx, Ingress.SubmitCtx, SubmitBatch and
+// Replay. On
 // cancellation it races the worker for the job's state: winning the CAS
 // hands ownership to whichever goroutine holds the job next (worker, ring
 // consumer or requeuer), which discards it.
@@ -954,10 +668,6 @@ func rejectReason(err error) obs.RejectReason {
 		return obs.RejectCongested
 	case errors.Is(err, ErrClusterClosed):
 		return obs.RejectClosed
-	case errors.Is(err, ErrDeadlineExceeded):
-		// Only the ingress drain rejects on a spent deadline (the direct
-		// path surfaces cancellation through RecordCancel instead).
-		return obs.RejectDeadline
 	case errors.Is(err, tenant.ErrRateLimited):
 		return obs.RejectRateLimited
 	default:
@@ -965,51 +675,60 @@ func rejectReason(err error) obs.RejectReason {
 	}
 }
 
-// SubmitAsync dispatches one request and returns a channel that yields its
-// latency on completion. The channel escapes to the caller and is not
-// pooled; latency-sensitive callers that wait inline should prefer Submit.
-// A request that becomes unserviceable under repeated instance failures
-// yields a negative latency on the channel instead of completing.
-func (c *Cluster) SubmitAsync(length int) (<-chan time.Duration, error) {
-	j := &job{length: length, started: time.Now(), done: make(chan time.Duration, 1)}
-	if err := c.submit(context.Background(), j); err != nil {
+// submit admits one request and hands its job on: to the fair queue in
+// multi-tenant mode (it takes its turn in the pump's dispatch order),
+// straight to placement otherwise. A refusal is recorded and the job
+// returned to the pool; on success the caller awaits the job.
+func (c *Cluster) submit(ctx context.Context, req Request, rec *obs.Recorder) (*job, error) {
+	j, err := c.admit(ctx, req, rec)
+	if err != nil {
 		return nil, err
 	}
-	return j.done, nil
-}
-
-// submit routes one job to a worker, recording the submission and any
-// rejection or demotion on the observer.
-func (c *Cluster) submit(ctx context.Context, j *job) (err error) {
-	rec := c.obsRec.Load()
-	rec.RecordSubmit()
-	defer func() {
-		if err != nil {
-			rec.RecordReject(rejectReason(err))
-		}
-	}()
 	if c.fairQ != nil {
-		// Multi-tenant mode: the job takes its fair turn in the pump's
-		// dispatch order instead of routing inline.
-		return c.fairEnqueue(j)
+		err = c.fairEnqueue(j)
+	} else {
+		err = c.route(ctx, j)
 	}
-	return c.route(ctx, j)
+	if err != nil {
+		rec.RecordReject(rejectReason(err))
+		jobPool.Put(j)
+		return nil, err
+	}
+	return j, nil
 }
 
-// route dispatches one job and hands it to the chosen worker — the shared
-// placement step of first submission and failure requeue. It holds the
-// topology lock shared so submissions run concurrently with each other
-// (the queue stripes its own locks) while Close and worker removal are
-// excluded — the channel send can never race a close.
+// route places one job under the topology lock — the path of a direct
+// submission, a failure requeue and the fair pump. The lock is held shared
+// so submissions run concurrently with each other (the queue stripes its
+// own locks) while Close and worker removal are excluded: the channel send
+// can never race a close.
 func (c *Cluster) route(ctx context.Context, j *job) error {
-	rec := c.obsRec.Load()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
 		return ErrClusterClosed
 	}
+	return c.place(ctx, j, nil)
+}
+
+// place is the one placement step: dispatch, record any demotion, look up
+// the chosen worker and hand it the job without blocking. The caller holds
+// c.mu shared and has checked closed. A nil touched dispatches with the
+// caller's ctx through DispatchCtx; a non-nil one dispatches through the
+// group path's DispatchStale and marks the level for the caller's deferred
+// Reheap.
+func (c *Cluster) place(ctx context.Context, j *job, touched *uint64) error {
 	t0 := time.Now()
-	inst, dec, err := c.dispCtx.DispatchCtx(ctx, j.length)
+	var (
+		inst *queue.Instance
+		dec  dispatch.Decision
+		err  error
+	)
+	if touched != nil {
+		inst, dec, err = c.dispStale.DispatchStale(j.length)
+	} else {
+		inst, dec, err = c.dispCtx.DispatchCtx(ctx, j.length)
+	}
 	if err != nil {
 		return err
 	}
@@ -1017,7 +736,14 @@ func (c *Cluster) route(ctx context.Context, j *job) error {
 	j.dec = dec
 	j.instID = inst.ID
 	if dec.Level > dec.IdealLevel {
-		rec.RecordDemotion(dec.IdealLevel, dec.Level)
+		c.obsRec.Load().RecordDemotion(dec.IdealLevel, dec.Level)
+	}
+	if touched != nil {
+		if dec.Level < 64 {
+			*touched |= 1 << uint(dec.Level)
+		} else {
+			c.ml.Reheap(dec.Level) // beyond the bitmask's reach; repair now
+		}
 	}
 	w := c.workers[inst.ID]
 	if w == nil {
@@ -1082,14 +808,22 @@ func (c *Cluster) redispatch(j *job, reason obs.RequeueReason) {
 	}
 }
 
-// failJob terminates a displaced job with a typed error, delivering it to
-// the submitter through the done channel (or discarding the job when the
-// submitter cancelled concurrently). The rejection is recorded here so
-// the books balance exactly like a synchronous submit failure.
+// failJob terminates a job that has not reached a worker with a typed
+// error, delivering it to the submitter through the done channel (or
+// discarding the job when the submitter cancelled concurrently). The
+// outcome is recorded here so the books balance exactly like a
+// synchronous submit failure. A deadline spent before dispatch counts as
+// the cancellation it is: the submitter's own context fires at the same
+// instant, and whichever side resolves the job first, the books must
+// show one cancel.
 func (c *Cluster) failJob(j *job, err error) {
 	if j.state.CompareAndSwap(jobPending, jobDone) {
 		j.err = err
-		c.obsRec.Load().RecordReject(rejectReason(err))
+		if rec := c.obsRec.Load(); errors.Is(err, ErrDeadlineExceeded) {
+			rec.RecordCancel()
+		} else {
+			rec.RecordReject(rejectReason(err))
+		}
 		j.done <- failedLatency
 		return
 	}
@@ -1227,7 +961,7 @@ func (c *Cluster) Replay(tr *trace.Trace) (*ReplayResult, error) {
 	}
 	var (
 		mu       sync.Mutex
-		rec      = metrics.NewRecorder(len(tr.Requests))
+		lats     = metrics.NewRecorder(len(tr.Requests))
 		rejected int
 		wg       sync.WaitGroup
 	)
@@ -1238,25 +972,10 @@ func (c *Cluster) Replay(tr *trace.Trace) (*ReplayResult, error) {
 		if wait := time.Until(start.Add(at)); wait > 0 {
 			time.Sleep(wait)
 		}
-		var tn *tenant.Tenant
-		if c.tenants != nil {
-			var aerr error
-			tn, aerr = c.admitTenant(r.Tenant, r.Length+r.OutTokens)
-			if aerr != nil {
-				c.rejectAdmission(c.obsRec.Load())
-				mu.Lock()
-				rejected++
-				mu.Unlock()
-				continue
-			}
-		}
-		j := newJob(r.Length)
-		if r.OutTokens > 0 {
-			j.maxNew = r.OutTokens
-		}
-		c.applyTenant(j, tn)
-		if err := c.submit(context.Background(), j); err != nil {
-			jobPool.Put(j)
+		rec := c.obsRec.Load()
+		j, err := c.submit(context.Background(),
+			Request{Length: r.Length, MaxNewTokens: r.OutTokens, Tenant: r.Tenant}, rec)
+		if err != nil {
 			mu.Lock()
 			rejected++
 			mu.Unlock()
@@ -1265,28 +984,22 @@ func (c *Cluster) Replay(tr *trace.Trace) (*ReplayResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lat := <-j.done
-			if lat == failedLatency {
-				// Displaced by failures past the requeue budget (or the
-				// cluster closed mid-requeue): counts as a rejection, not a
-				// completion.
-				jobPool.Put(j)
-				mu.Lock()
-				rejected++
-				mu.Unlock()
-				return
-			}
-			c.finish(j, lat, c.obsRec.Load())
-			jobPool.Put(j)
+			// A request displaced past its requeue budget (or caught by
+			// Close mid-requeue) counts as a rejection, not a completion.
+			res, err := c.await(context.Background(), j, rec)
 			mu.Lock()
-			rec.Record(lat)
+			if err != nil {
+				rejected++
+			} else {
+				lats.Record(res.Latency)
+			}
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
 	return &ReplayResult{
-		Latency:  rec,
-		Summary:  rec.Summarize(c.cfg.Profile.SLO),
+		Latency:  lats,
+		Summary:  lats.Summarize(c.cfg.Profile.SLO),
 		Rejected: rejected,
 	}, nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,33 @@ import (
 
 func rsFactory(ml *queue.MultiLevel) (dispatch.Dispatcher, error) {
 	return dispatch.NewRequestScheduler(ml)
+}
+
+// submitLen is one blocking request through SubmitCtx, reduced to its
+// modeled latency.
+func submitLen(c *Cluster, length int) (time.Duration, error) {
+	res, err := c.SubmitCtx(context.Background(), Request{Length: length})
+	return res.Latency, err
+}
+
+// submitAsync is SubmitCtx split at the wait: the request is admitted and
+// placed before submitAsync returns, and the channel yields its modeled
+// latency once it completes (-1 when it failed).
+func submitAsync(c *Cluster, length int) (<-chan time.Duration, error) {
+	ctx, rec := context.Background(), c.obsRec.Load()
+	j, err := c.submit(ctx, Request{Length: length}, rec)
+	if err != nil {
+		return nil, err
+	}
+	ch := make(chan time.Duration, 1)
+	go func() {
+		res, err := c.await(ctx, j, rec)
+		if err != nil {
+			res.Latency = -1
+		}
+		ch <- res.Latency
+	}()
+	return ch, nil
 }
 
 func testProfile(t testing.TB, lengths []int) *profiler.Profile {
@@ -56,7 +84,7 @@ func TestSubmitMeasuresModeledLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	lat, err := c.Submit(100)
+	lat, err := submitLen(c, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +108,7 @@ func TestTimeScaleCompressesWallTime(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	lat, err := c.Submit(100)
+	lat, err := submitLen(c, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +140,7 @@ func TestQueueingAccumulates(t *testing.T) {
 	const n = 5
 	chans := make([]<-chan time.Duration, n)
 	for i := 0; i < n; i++ {
-		ch, err := c.SubmitAsync(100)
+		ch, err := submitAsync(c, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +174,7 @@ func TestDispatchSpreadsAcrossWorkers(t *testing.T) {
 	var wg sync.WaitGroup
 	latencies := make([]time.Duration, n)
 	for i := 0; i < n; i++ {
-		ch, err := c.SubmitAsync(100)
+		ch, err := submitAsync(c, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,12 +204,12 @@ func TestSubmitErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(4000); err == nil {
+	if _, err := submitLen(c, 4000); err == nil {
 		t.Error("over-long request should fail")
 	}
 	c.Close()
-	if _, err := c.Submit(10); err != ErrClosed {
-		t.Errorf("submit after close = %v, want ErrClosed", err)
+	if _, err := submitLen(c, 10); err != ErrClusterClosed {
+		t.Errorf("submit after close = %v, want ErrClusterClosed", err)
 	}
 	c.Close() // double close is safe
 }
@@ -200,7 +228,7 @@ func TestQueueOverflow(t *testing.T) {
 	defer c.Close()
 	overflowed := false
 	for i := 0; i < 10; i++ {
-		if _, err := c.SubmitAsync(100); err != nil {
+		if _, err := submitAsync(c, 100); err != nil {
 			overflowed = true
 			break
 		}
@@ -268,8 +296,8 @@ func TestInstances(t *testing.T) {
 }
 
 // TestConcurrentSubmitClose races many submitters against Close. The
-// RWMutex submission protocol must make this safe: every Submit either
-// completes or reports ErrClosed — never a send on a closed channel.
+// RWMutex submission protocol must make this safe: every submission either
+// completes or reports ErrClusterClosed — never a send on a closed channel.
 func TestConcurrentSubmitClose(t *testing.T) {
 	p := testProfile(t, []int{512})
 	c, err := New(Config{
@@ -290,8 +318,8 @@ func TestConcurrentSubmitClose(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 50; i++ {
-				if _, err := c.Submit(1 + i%512); err != nil {
-					if err == ErrClosed {
+				if _, err := submitLen(c, 1+i%512); err != nil {
+					if err == ErrClusterClosed {
 						return
 					}
 					continue // overflow etc. is fine; crashes are not
@@ -303,8 +331,8 @@ func TestConcurrentSubmitClose(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	c.Close()
 	wg.Wait()
-	if _, err := c.Submit(10); err != ErrClosed {
-		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	if _, err := submitLen(c, 10); err != ErrClusterClosed {
+		t.Errorf("Submit after Close = %v, want ErrClusterClosed", err)
 	}
 }
 
@@ -337,7 +365,7 @@ func TestConcurrentSubmitTopologyChurn(t *testing.T) {
 				}
 				// Errors (overflow, instance no longer deployed) are
 				// legitimate under churn; panics and races are the bug.
-				_, _ = c.Submit(1 + (g*131+i)%512)
+				_, _ = submitLen(c, 1+(g*131+i)%512)
 			}
 		}(g)
 	}

@@ -122,7 +122,7 @@ func TestFailInstanceRecovery(t *testing.T) {
 		t.Errorf("health after recovery = %+v, want 2 healthy", sum)
 	}
 	// The rejoined instance serves: a submission completes.
-	if _, err := c.Submit(300); err != nil {
+	if _, err := submitLen(c, 300); err != nil {
 		t.Errorf("submit after recovery: %v", err)
 	}
 }
@@ -201,7 +201,7 @@ func TestSlowInstanceDegradesAndRestores(t *testing.T) {
 	if sum.Degraded != 1 || sum.Healthy != 1 {
 		t.Fatalf("health = %+v, want 1 degraded / 1 healthy", sum)
 	}
-	if _, err := c.Submit(300); err != nil {
+	if _, err := submitLen(c, 300); err != nil {
 		t.Errorf("submit with degraded instance: %v", err)
 	}
 	var sb strings.Builder

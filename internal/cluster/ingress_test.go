@@ -135,8 +135,9 @@ func TestSubmitBatchCompletes(t *testing.T) {
 }
 
 // TestSubmitBatchSpentDeadline pins the drain-time rule: a member whose
-// deadline is already spent when its group is dispatched is rejected with
-// ErrDeadlineExceeded before touching the queue.
+// deadline is already spent when its group is dispatched is resolved with
+// ErrDeadlineExceeded before touching the queue, and counted as the
+// cancellation its submitter's context reports.
 func TestSubmitBatchSpentDeadline(t *testing.T) {
 	rec := obs.NewRecorder(1)
 	c := ingressCluster(t, rec, []int{1}, []int{512})
@@ -156,8 +157,11 @@ func TestSubmitBatchSpentDeadline(t *testing.T) {
 	if res, err := c.await(context.Background(), jobs[1], rec); err != nil || res.Latency <= 0 {
 		t.Fatalf("live member: res=%v err=%v, want completion", res, err)
 	}
-	if got := rec.RejectedFor(obs.RejectDeadline); got != 1 {
-		t.Errorf("deadline rejects = %d, want 1", got)
+	if got := rec.Cancelled(); got != 1 {
+		t.Errorf("cancelled = %d, want 1", got)
+	}
+	if got := rec.Rejected(); got != 0 {
+		t.Errorf("rejected = %d, want 0", got)
 	}
 	// The rejected member never dispatched: no residual load.
 	if got := c.Outstanding(); got != 0 {

@@ -2,23 +2,25 @@
 // admission in front of every submit path, SLO-class policy application,
 // and the weighted-fair dispatch pump.
 //
-// With Config.Tenants unset nothing here runs — submissions take exactly
-// the pre-tenancy code path, which is what keeps the Fig. 9 dispatch hot
-// path allocation-free and unchanged. With a registry configured:
+// With Config.Tenants unset nothing here runs — admission returns at once
+// and jobs go straight to placement, which is what keeps the Fig. 9
+// dispatch hot path allocation-free and unchanged. With a registry
+// configured, the tenancy steps sit inside the one submit pipeline every
+// path (SubmitCtx, SubmitBatch, the ingress rings, Replay) shares:
 //
-//  1. Every submit path (SubmitCtx, SubmitBatch, the ingress rings,
-//     Replay) resolves the request's tenant and runs token-bucket
-//     admission *before* leasing queue state: a rejected request never
-//     touches the multi-level queue, so a bursting tenant cannot trigger
-//     λ-congestion demotions for everyone else.
-//  2. Admitted jobs flow through a start-time-fair queue (queue.Fair)
-//     drained by a single pump goroutine, so dispatch order interleaves
-//     tenants by weight x class bias instead of arrival order: a
-//     backlogged tenant's surplus waits behind everyone else's current
-//     share rather than ahead of it.
+//  1. admit resolves the request's tenant and runs token-bucket admission
+//     *before* leasing queue state: a rejected request never touches the
+//     multi-level queue, so a bursting tenant cannot trigger λ-congestion
+//     demotions for everyone else.
+//  2. Admitted jobs, single or grouped, flow through a start-time-fair
+//     queue (queue.Fair) drained by a single pump goroutine, so dispatch
+//     order interleaves tenants by weight x class bias instead of arrival
+//     order: a backlogged tenant's surplus waits behind everyone else's
+//     current share rather than ahead of it. The pump places each job
+//     through the same route step as a direct submission.
 //  3. The tenant's SLO class stamps per-request policy: an implicit
 //     deadline for interactive requests and a batching-window factor the
-//     batched worker's Former honors per member.
+//     run-to-completion batch former honors per member.
 package cluster
 
 import (
@@ -56,14 +58,6 @@ func (c *Cluster) admitTenant(id string, tokens int) (*tenant.Tenant, error) {
 	return t, nil
 }
 
-// rejectAdmission books one admission rejection: a submission attempt
-// with a rate-limited outcome, matching the submit/reject pairing every
-// other refusal path keeps.
-func (c *Cluster) rejectAdmission(rec *obs.Recorder) {
-	rec.RecordSubmit()
-	rec.RecordReject(obs.RejectRateLimited)
-}
-
 // applyTenant stamps tenant policy onto a freshly leased job: the record
 // itself (for fair-share accounting and the span label), the class's
 // implicit deadline when the submitter brought none, and the class's
@@ -85,13 +79,8 @@ func (c *Cluster) applyTenant(j *job, t *tenant.Tenant) {
 }
 
 // fairEnqueue hands an admitted job to the fair queue in place of direct
-// routing. The pump drains it in weighted-fair order. Jobs submitted
-// without tenant resolution (SubmitAsync, internal paths) are accounted
-// to the default tenant.
+// routing. The pump drains it in weighted-fair order.
 func (c *Cluster) fairEnqueue(j *job) error {
-	if j.tenant == nil {
-		j.tenant = c.tenants.Get(tenant.DefaultID)
-	}
 	t := j.tenant
 	weight := t.Weight() * t.Class().PriorityBias()
 	cost := float64(j.length + j.maxNew)
@@ -135,9 +124,7 @@ func (c *Cluster) pumpDispatch(j *job) {
 	for attempt := 0; ; attempt++ {
 		err := c.route(context.Background(), j)
 		if err == nil {
-			if t != nil {
-				t.RecordDispatched(cost)
-			}
+			t.RecordDispatched(cost)
 			return
 		}
 		if errors.Is(err, ErrClusterClosed) || errors.Is(err, dispatch.ErrTooLong) ||
@@ -188,29 +175,4 @@ func (c *Cluster) tenantSnapshot() []obs.TenantStat {
 		}
 	}
 	return out
-}
-
-// submitBatchFair is submitBatch's multi-tenant counterpart: each live
-// member of a drained group takes its fair turn through the pump instead
-// of dispatching inline. nil slots are SubmitBatch members already
-// resolved by admission.
-func (c *Cluster) submitBatchFair(jobs []*job) {
-	now := time.Now()
-	for _, j := range jobs {
-		if j == nil {
-			continue
-		}
-		if j.state.Load() == jobCancelled {
-			jobPool.Put(j)
-			continue
-		}
-		if !j.deadline.IsZero() && !now.Before(j.deadline) {
-			c.failJob(j, cancelErr(context.DeadlineExceeded))
-			continue
-		}
-		j.ingressWait = now.Sub(j.started)
-		if err := c.fairEnqueue(j); err != nil {
-			c.failJob(j, err)
-		}
-	}
 }

@@ -9,6 +9,7 @@
 package controller
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"arlo/internal/allocator"
+	"arlo/internal/cluster"
 )
 
 // seededLengths draws n request lengths in [lo, hi] from a seeded PRNG.
@@ -215,7 +217,8 @@ func TestConvergenceUnderLiveLoad(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := cl.Submit(300 + rng.Intn(200)); err != nil {
+				req := cluster.Request{Length: 300 + rng.Intn(200)}
+				if _, err := cl.SubmitCtx(context.Background(), req); err != nil {
 					failed.Add(1)
 				} else {
 					completed.Add(1)

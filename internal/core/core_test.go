@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"arlo/internal/cluster"
 	"arlo/internal/model"
 	"arlo/internal/trace"
 )
@@ -165,11 +167,11 @@ func TestNewClusterEvenAndSolved(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl2.Close()
-	lat, err := cl2.Submit(20)
+	res, err := cl2.SubmitCtx(context.Background(), cluster.Request{Length: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lat <= 0 {
+	if res.Latency <= 0 {
 		t.Error("cluster latency should be positive")
 	}
 }

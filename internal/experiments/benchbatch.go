@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -148,7 +149,7 @@ func BenchBatch(w io.Writer, opt Options) error {
 			wg.Add(1)
 			go func(length int) {
 				defer wg.Done()
-				if _, err := cl.Submit(length); err != nil {
+				if _, err := cl.SubmitCtx(context.Background(), cluster.Request{Length: length}); err != nil {
 					errs <- err
 				}
 			}(l)

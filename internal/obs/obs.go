@@ -127,9 +127,6 @@ const (
 	// RejectUnserviceable: the request exhausted its requeue budget under
 	// repeated instance failures.
 	RejectUnserviceable
-	// RejectDeadline: the request's deadline was already spent when its
-	// ingress group was drained; it was refused before touching the queue.
-	RejectDeadline
 	// RejectRateLimited: tenant token-bucket admission refused the request
 	// before it touched the queue.
 	RejectRateLimited
@@ -152,8 +149,6 @@ func (r RejectReason) String() string {
 		return "closed"
 	case RejectUnserviceable:
 		return "unserviceable"
-	case RejectDeadline:
-		return "deadline"
 	case RejectRateLimited:
 		return "rate_limited"
 	default:

@@ -58,13 +58,21 @@ func (r Runtime) DecodeTailCost(lengths, outs []int) time.Duration {
 	if len(lengths) == 0 || len(lengths) != len(outs) {
 		return 0
 	}
+	var tail time.Duration
+	if len(lengths) == 1 {
+		// A lone sequence (a sequential worker's generative request):
+		// the uniform step prices it exactly, without the context slice.
+		for t := 1; t < outs[0]; t++ {
+			tail += r.DecodeStepUniform(1, lengths[0]+t)
+		}
+		return tail
+	}
 	maxOut := 0
 	for _, o := range outs {
 		if o > maxOut {
 			maxOut = o
 		}
 	}
-	var tail time.Duration
 	ctxs := make([]int, len(lengths))
 	for t := 1; t < maxOut; t++ {
 		for i, l := range lengths {

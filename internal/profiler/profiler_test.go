@@ -369,3 +369,26 @@ func TestBatchMeanLatency(t *testing.T) {
 		t.Errorf("BatchMeanLatency(%v, 8) = %v suspiciously low past saturation", heavy, lat)
 	}
 }
+
+// TestSingleSequenceGenBatchCost pins the identity the worker loop's
+// sequential step rule relies on: a one-member run-to-completion batch
+// costs exactly the request alone (GenBatchCostOf == GenCostOf), and its
+// decode tail is priced without allocating.
+func TestSingleSequenceGenBatchCost(t *testing.T) {
+	p := bertBaseProfile(t)
+	for _, r := range p.Runtimes {
+		for _, tc := range []struct{ length, out int }{{1, 1}, {20, 2}, {100, 48}, {r.MaxLength, 256}} {
+			if tc.length > r.MaxLength {
+				continue
+			}
+			lengths, outs := []int{tc.length}, []int{tc.out}
+			if got, want := r.GenBatchCostOf(lengths, outs), r.GenCostOf(tc.length, tc.out); got != want {
+				t.Errorf("runtime %d len %d out %d: GenBatchCostOf %v != GenCostOf %v",
+					r.Index, tc.length, tc.out, got, want)
+			}
+			if a := testing.AllocsPerRun(10, func() { r.DecodeTailCost(lengths, outs) }); a != 0 {
+				t.Errorf("runtime %d: single-sequence DecodeTailCost allocates %.0f times", r.Index, a)
+			}
+		}
+	}
+}

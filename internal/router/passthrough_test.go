@@ -29,19 +29,28 @@ import (
 )
 
 // fakeShard is a scripted wire listener: load probes get a healthy
-// snapshot, every inference request gets the configured response.
+// snapshot (after probeDelay), every inference request gets the
+// configured response.
 type fakeShard struct {
-	l      net.Listener
-	script func(req *wire.Request) wire.Response
+	l          net.Listener
+	script     func(req *wire.Request) wire.Response
+	probeDelay time.Duration
 }
 
 func startFakeShard(t *testing.T, script func(req *wire.Request) wire.Response) *fakeShard {
+	t.Helper()
+	return startSlowProbeShard(t, 0, script)
+}
+
+// startSlowProbeShard is startFakeShard with every load probe answered
+// probeDelay late.
+func startSlowProbeShard(t *testing.T, probeDelay time.Duration, script func(req *wire.Request) wire.Response) *fakeShard {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &fakeShard{l: l, script: script}
+	fs := &fakeShard{l: l, script: script, probeDelay: probeDelay}
 	go fs.serve()
 	t.Cleanup(func() { _ = l.Close() })
 	return fs
@@ -66,6 +75,7 @@ func (fs *fakeShard) serve() {
 					return
 				}
 				if payload[0] == wire.KindLoadRequest {
+					time.Sleep(fs.probeDelay)
 					id, _ := wire.DecodeLoadRequest(payload)
 					seq++
 					snap := wire.LoadSnapshot{

@@ -310,6 +310,11 @@ func (r *Router) refreshLoop(sh *shard) {
 	}
 }
 
+// probeTimeout bounds one load probe. It does not follow the refresh
+// interval: a shard that answers slower than the interval is loaded, not
+// down, and stays routable on its last snapshot until the answer lands.
+const probeTimeout = time.Second
+
 // refreshShard fetches one load snapshot, storing it (and clearing the
 // down bit) on success.
 func (r *Router) refreshShard(sh *shard) {
@@ -317,11 +322,7 @@ func (r *Router) refreshShard(sh *shard) {
 	if err != nil {
 		return
 	}
-	timeout := r.cfg.SnapshotRefreshInterval
-	if timeout <= 0 || timeout > time.Second {
-		timeout = time.Second
-	}
-	snap, err := c.loadProbe(timeout)
+	snap, err := c.loadProbe(probeTimeout)
 	if err != nil {
 		sh.down.Store(true)
 		return

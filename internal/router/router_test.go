@@ -323,6 +323,37 @@ func TestRouterPolicies(t *testing.T) {
 	}
 }
 
+// TestSlowProbeKeepsShardRoutable pins the probe timeout's independence
+// from the refresh interval: a shard whose load probes answer six
+// intervals late is loaded, not down. Its snapshots still land, and it is
+// never marked down while it answers.
+func TestSlowProbeKeepsShardRoutable(t *testing.T) {
+	const interval = 5 * time.Millisecond
+	fs := startSlowProbeShard(t, 6*interval, func(*wire.Request) wire.Response {
+		return wire.Response{Status: wire.StatusOK}
+	})
+	r := newRouter(t, Config{
+		Shards:                  []ShardConfig{{Name: "slow", Addr: fs.l.Addr().String()}},
+		SnapshotRefreshInterval: interval,
+	})
+	sh := r.shards[0]
+	// Three answered probes span ~18 refresh intervals; sample the down
+	// bit throughout.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if sh.down.Load() {
+			t.Fatal("slow-probe shard marked down")
+		}
+		if e := sh.snapshot(); e != nil && e.snap.Seq >= 3 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no third snapshot from the slow-probe shard within 2s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestRouterHealthzAggregation(t *testing.T) {
 	a := startShard(t, "a", []int{1, 1}, 0.01)
 	b := startShard(t, "b", []int{1, 1}, 0.01)
